@@ -4,35 +4,34 @@
 // placement (package merge). The kernel owns everything the three users
 // used to duplicate — initial-temperature estimation from probed move
 // deltas, the VPR-style adaptive schedule, the move/accept/undo loop and
-// the range-limit adaptation — and is parameterised over a small Mover
-// interface supplying the problem-specific parts: proposing a move,
-// evaluating its cost delta incrementally, and undoing it.
+// the range-limit adaptation — and is parameterised over a small
+// BatchMover interface supplying the problem-specific parts: proposing a
+// move, evaluating its cost delta incrementally, and undoing it.
 //
-// Hot-path contract for Mover implementations:
+// Moves run under the batched protocol: fixed-size proposal batches are
+// drawn serially, evaluated against frozen state, and committed serially
+// in canonical slot order with footprint-based conflict detection (see
+// Run).
 //
-//   - TryMove must evaluate the delta *incrementally* (touch only the
-//     nets/positions the move affects) and leave the move applied; the
-//     kernel calls Undo to reject. After any accepted/rejected sequence
-//     the maintained total must equal a from-scratch recompute exactly
-//     (both users have property tests asserting this).
-//   - TryMove must not allocate per call: affected-set deduplication and
-//     undo snapshots live in scratch buffers owned by the Mover.
+// Hot-path contract for BatchMover implementations:
+//
+//   - TryMove and ApplySlot must evaluate the delta *incrementally*
+//     (touch only the nets/positions the move affects) and leave the move
+//     applied; the kernel calls Undo to reject. After any
+//     accepted/rejected sequence the maintained total must equal a
+//     from-scratch recompute exactly (both users have property tests
+//     asserting this).
+//   - No per-move allocation: affected-set deduplication and undo
+//     snapshots live in scratch buffers owned by the mover.
 //   - Cost deltas must be accumulated over a deterministically ordered
 //     (never map-ordered) affected set: float addition is not
-//     associative, so a scheduler-dependent order would make seeded runs
+//     associative, so an unordered sum would make seeded runs
 //     irreproducible.
 //
 // The kernel itself draws from the caller's rng in a fixed order (one
-// TryMove per probe/move, one Float64 per uphill move), so a seeded run
-// is reproducible by construction.
-//
-// Movers that additionally implement BatchMover run under the batched
-// parallel-move protocol (see parallel.go): fixed-size proposal batches
-// evaluated concurrently against frozen state and committed serially in
-// canonical order with footprint-based conflict detection. The batched
-// protocol runs at EVERY worker count including 1 — workers change who
-// evaluates, never what is decided — so same-seed results are
-// byte-identical at any Config.Workers.
+// TryMove per probe, then per batch one Propose per slot and one Float64
+// per non-degenerate proposal), so a seeded run is reproducible by
+// construction.
 package anneal
 
 import (
@@ -42,19 +41,72 @@ import (
 	"repro/internal/obs"
 )
 
-// Mover is the problem-specific side of the annealing loop.
-type Mover interface {
+// batchMoves is the number of move proposals per batch. It is a FIXED
+// constant: batch composition, the rng draw order, the canonical commit
+// order and the conflict/requeue decisions are all functions of the seed
+// alone, and every artifact version pins the trajectories this size
+// produces.
+const batchMoves = 64
+
+// StartSeedStride separates the derived seeds of multi-start anneals:
+// start i of a run seeded S anneals with seed S + i*StartSeedStride.
+// Large and prime so the strided seed sequences of nearby base seeds
+// (callers commonly use S, S+1, ... for related problems) do not collide.
+const StartSeedStride = 1_000_003
+
+// BatchMover is the problem-specific side of the annealing loop.
+// Implementations must guarantee:
+//
+//   - Propose records a proposal without touching shared state;
+//   - EvalSlot is read-only against the current state and writes only
+//     the mover's evaluation scratch;
+//   - EvalSlot returns exactly the delta ApplySlot would return on an
+//     unchanged state (same affected-set order, same float operations) —
+//     property-tested by both movers;
+//   - Claims returns the move's full mutation footprint: two proposals
+//     whose claims are disjoint must commute.
+type BatchMover interface {
 	// TryMove proposes a random move within the range limit rlim,
 	// applies it, and returns its cost delta. ok is false when the
 	// proposal was degenerate (no-op target, class mismatch); such an
 	// attempt counts as neither tried nor accepted and must leave the
-	// state untouched.
+	// state untouched. Used by the initial-temperature probe.
 	TryMove(rng *rand.Rand, rlim float64) (delta float64, ok bool)
-	// Undo reverts the last applied TryMove.
+	// Undo reverts the last applied TryMove or ApplySlot.
 	Undo()
-	// Cost returns the current total cost from the Mover's incremental
+	// Cost returns the current total cost from the mover's incremental
 	// bookkeeping (called once per temperature round, not per move).
 	Cost() float64
+	// SetupBatch sizes the mover's proposal slots and its evaluation
+	// scratch. Called once per Run, before the first batch.
+	SetupBatch(slots int)
+	// Propose draws a move for the given slot within the range limit,
+	// recording it in the slot without mutating state; ok is false when
+	// the proposal is degenerate (no-op target, class mismatch).
+	Propose(rng *rand.Rand, rlim float64, slot int) bool
+	// Claims appends the slot's footprint keys to buf and returns it.
+	Claims(slot int, buf []int64) []int64
+	// EvalSlot returns the slot's cost delta, evaluated read-only against
+	// the current (frozen) state.
+	EvalSlot(slot int) float64
+	// ApplySlot applies the slot's proposal to live state — exactly like
+	// TryMove, returning the incremental delta and leaving the move
+	// applied for Undo to revert.
+	ApplySlot(slot int) float64
+}
+
+// RunStats summarises one annealing run.
+type RunStats struct {
+	// Moves counts evaluated (non-degenerate) proposals; Accepted the
+	// committed ones.
+	Moves    int
+	Accepted int
+	// Requeued counts batch commits whose footprint overlapped an earlier
+	// commit of the same batch and were therefore re-evaluated against
+	// live state.
+	Requeued int
+	// Batches counts proposal batches.
+	Batches int
 }
 
 // Config sizes the schedule for one annealing run.
@@ -88,18 +140,9 @@ type Config struct {
 	// WarmStartTempFraction scales the probed starting temperature when
 	// WarmStart is set (default 0.02).
 	WarmStartTempFraction float64
-	// Workers bounds the evaluation parallelism of the batched protocol
-	// (BatchMovers only; plain Movers always run the serial loop). 0 or 1
-	// evaluates inline on the calling goroutine. Workers never influence
-	// results — only wall-clock — and so are excluded from artifact keys.
-	Workers int
-	// Pool, when non-nil, supplies the worker pool (overriding Workers)
-	// so a multi-start caller can reuse one pool across runs.
-	Pool *Pool
-	// AfterBatch, when non-nil, is called on the calling goroutine after
-	// each batch's commit phase (test hook: the incremental-vs-recompute
-	// property tests audit the mover's books after every commit/requeue
-	// cycle).
+	// AfterBatch, when non-nil, is called after each batch's commit
+	// phase (test hook: the incremental-vs-recompute property tests audit
+	// the mover's books after every commit/requeue cycle).
 	AfterBatch func()
 	// Obs, when non-nil, receives the run's RunStats as mm_anneal_*
 	// metrics when Run returns. Observed only at the run boundary — the
@@ -122,16 +165,29 @@ func observe(reg *obs.Registry, s *RunStats) {
 		"Batch moves requeued after footprint conflicts, per annealing run.",
 		obs.WorkBuckets).Observe(float64(s.Requeued))
 	reg.Histogram("mm_anneal_batches",
-		"Parallel-protocol batches per annealing run.", obs.WorkBuckets).
+		"Proposal batches per annealing run.", obs.WorkBuckets).
 		Observe(float64(s.Batches))
 }
 
-// Run anneals the Mover's state in place: probe initial temperature,
-// then rounds of Moves attempts with Metropolis acceptance until the
-// schedule says the temperature is cold relative to the cost per net.
-// BatchMovers run the batched parallel protocol (at any worker count);
-// plain Movers run the classic serial loop.
-func Run(mv Mover, cfg Config, rng *rand.Rand) RunStats {
+// Run anneals the mover's state in place: probe the initial
+// temperature, then rounds of Moves proposals with Metropolis acceptance
+// until the schedule says the temperature is cold relative to the cost
+// per net.
+//
+// Each round runs in batches of batchMoves proposals, mirroring the
+// router's commit protocol. Per batch, proposals and their acceptance
+// uniforms are drawn serially in slot order (the rng sequence is fixed up
+// front); evaluation runs against state frozen for the whole phase;
+// commits then apply serially in slot order. A commit whose claims
+// overlap an earlier accepted commit of the same batch is REQUEUED: it is
+// re-evaluated against live state via ApplySlot and decided with its
+// pre-drawn uniform — in-batch and serial, so a batch where every
+// proposal conflicts still makes progress one commit at a time (no
+// livelock, no starvation). Non-conflicting commits decide on the frozen
+// delta and only then apply, which also keeps the maintained incremental
+// costs exact: every state mutation goes through ApplySlot against live
+// state.
+func Run(mv BatchMover, cfg Config, rng *rand.Rand) RunStats {
 	if cfg.Cells <= 0 || cfg.Nets <= 0 {
 		return RunStats{}
 	}
@@ -180,26 +236,90 @@ func Run(mv Mover, cfg Config, rng *rand.Rand) RunStats {
 		}
 	}
 
-	if bm, ok := mv.(BatchMover); ok {
-		stats := runBatched(bm, cfg, sch, rng, span)
-		observe(cfg.Obs, &stats)
-		return stats
-	}
-
 	var stats RunStats
+	mv.SetupBatch(batchMoves)
+	var (
+		ok      [batchMoves]bool
+		u       [batchMoves]float64
+		delta   [batchMoves]float64
+		claimed []int64
+		clBuf   []int64
+	)
 	for {
-		for m := 0; m < sch.Moves; m++ {
-			d, ok := mv.TryMove(rng, sch.RLim)
-			if !ok {
-				continue
+		for m := 0; m < sch.Moves; {
+			n := batchMoves
+			if rem := sch.Moves - m; rem < n {
+				n = rem
 			}
-			stats.Moves++
-			if d <= 0 || rng.Float64() < math.Exp(-d/sch.T) {
-				sch.Record(true)
-				stats.Accepted++
-			} else {
-				mv.Undo()
-				sch.Record(false)
+			m += n
+			stats.Batches++
+
+			// Propose phase: serial, fixed rng order. The acceptance
+			// uniform is drawn per proposal up front so the decision in
+			// the commit phase consumes no rng.
+			for s := 0; s < n; s++ {
+				ok[s] = mv.Propose(rng, sch.RLim, s)
+				if ok[s] {
+					u[s] = rng.Float64()
+				}
+			}
+			// Evaluation phase: read-only against the frozen state. It
+			// cannot fold into the commit loop: the seeded trajectories,
+			// and with them every placement artifact, are defined by
+			// frozen-state deltas.
+			for s := 0; s < n; s++ {
+				if ok[s] {
+					delta[s] = mv.EvalSlot(s)
+				}
+			}
+			// Commit phase: serial, canonical slot order.
+			claimed = claimed[:0]
+			for s := 0; s < n; s++ {
+				if !ok[s] {
+					continue
+				}
+				stats.Moves++
+				clBuf = mv.Claims(s, clBuf[:0])
+				conflict := false
+				for _, c := range clBuf {
+					for _, p := range claimed {
+						if p == c {
+							conflict = true
+							break
+						}
+					}
+					if conflict {
+						break
+					}
+				}
+				if conflict {
+					// Requeue: an earlier commit touched this move's
+					// footprint, so the frozen delta is stale — apply
+					// against live state for the true delta and decide
+					// with the pre-drawn uniform.
+					stats.Requeued++
+					d := mv.ApplySlot(s)
+					if d <= 0 || u[s] < math.Exp(-d/sch.T) {
+						claimed = append(claimed, clBuf...)
+						sch.Record(true)
+						stats.Accepted++
+					} else {
+						mv.Undo()
+						sch.Record(false)
+					}
+				} else {
+					if d := delta[s]; d <= 0 || u[s] < math.Exp(-d/sch.T) {
+						mv.ApplySlot(s)
+						claimed = append(claimed, clBuf...)
+						sch.Record(true)
+						stats.Accepted++
+					} else {
+						sch.Record(false)
+					}
+				}
+			}
+			if cfg.AfterBatch != nil {
+				cfg.AfterBatch()
 			}
 		}
 		if !sch.Next(mv.Cost()/float64(cfg.Nets), span) {
@@ -208,6 +328,19 @@ func Run(mv Mover, cfg Config, rng *rand.Rand) RunStats {
 	}
 	observe(cfg.Obs, &stats)
 	return stats
+}
+
+// BestStart picks the winner of a multi-start anneal: the index of the
+// lowest cost, ties broken towards the lowest seed. The pick depends only
+// on the (cost, seed) pairs, never on the order the starts ran in.
+func BestStart(costs []float64, seeds []int64) int {
+	best := 0
+	for i := 1; i < len(costs); i++ {
+		if costs[i] < costs[best] || (costs[i] == costs[best] && seeds[i] < seeds[best]) {
+			best = i
+		}
+	}
+	return best
 }
 
 // Clamp bounds v to [lo, hi].

@@ -3,6 +3,7 @@ package anneal
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -72,18 +73,24 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-// lineMover is a toy Mover: n cells on an integer line of n slots, cost =
-// sum of |pos(i) - pos(i+1)| over a chain. Optimal order has cost n-1.
+// lineMover is a toy BatchMover: n cells on an integer line of n slots,
+// cost = sum of |pos(i) - pos(i+1)| over a chain. Optimal order has cost
+// n-1. With adversarial set, Claims reports the same single footprint key
+// for every proposal — so within a batch everything after the first
+// accepted commit conflicts — which is the livelock regression fixture:
+// the kernel must still make serial progress through such a batch.
 type lineMover struct {
-	posOf  []int
-	cellAt []int
-	cost   float64
-	mvA    int
-	mvB    int
+	posOf        []int
+	cellAt       []int
+	cost         float64
+	mvA          int
+	mvB          int
+	slotA, slotB []int
+	adversarial  bool
 }
 
-func newLineMover(n int, rng *rand.Rand) *lineMover {
-	m := &lineMover{posOf: make([]int, n), cellAt: make([]int, n)}
+func newLineMover(n int, rng *rand.Rand, adversarial bool) *lineMover {
+	m := &lineMover{posOf: make([]int, n), cellAt: make([]int, n), adversarial: adversarial}
 	for i, p := range rng.Perm(n) {
 		m.posOf[i] = p
 		m.cellAt[p] = i
@@ -100,23 +107,35 @@ func (m *lineMover) fullCost() float64 {
 	return c
 }
 
-func (m *lineMover) TryMove(rng *rand.Rand, rlim float64) (float64, bool) {
+// pick draws a range-limited position pair; ok is false for a no-op.
+func (m *lineMover) pick(rng *rand.Rand, rlim float64) (posA, posB int, ok bool) {
 	a := rng.Intn(len(m.posOf))
-	posA := m.posOf[a]
+	posA = m.posOf[a]
 	r := int(rlim)
 	if r < 1 {
 		r = 1
 	}
-	posB := Clamp(posA+rng.Intn(2*r+1)-r, 0, len(m.posOf)-1)
-	if posA == posB {
-		return 0, false
-	}
+	posB = Clamp(posA+rng.Intn(2*r+1)-r, 0, len(m.posOf)-1)
+	return posA, posB, posA != posB
+}
+
+// apply swaps two positions against live state and returns the delta,
+// leaving the swap applied for Undo.
+func (m *lineMover) apply(posA, posB int) float64 {
 	m.mvA, m.mvB = posA, posB
 	m.swap(posA, posB)
 	nc := m.fullCost()
 	d := nc - m.cost
 	m.cost = nc
-	return d, true
+	return d
+}
+
+func (m *lineMover) TryMove(rng *rand.Rand, rlim float64) (float64, bool) {
+	posA, posB, ok := m.pick(rng, rlim)
+	if !ok {
+		return 0, false
+	}
+	return m.apply(posA, posB), true
 }
 
 func (m *lineMover) swap(posA, posB int) {
@@ -132,11 +151,57 @@ func (m *lineMover) Undo() {
 
 func (m *lineMover) Cost() float64 { return m.cost }
 
+func (m *lineMover) SetupBatch(slots int) {
+	m.slotA = make([]int, slots)
+	m.slotB = make([]int, slots)
+}
+
+func (m *lineMover) Propose(rng *rand.Rand, rlim float64, slot int) bool {
+	posA, posB, ok := m.pick(rng, rlim)
+	if !ok {
+		return false
+	}
+	m.slotA[slot], m.slotB[slot] = posA, posB
+	return true
+}
+
+func (m *lineMover) Claims(slot int, buf []int64) []int64 {
+	if m.adversarial {
+		return append(buf, 0)
+	}
+	return append(buf, int64(m.slotA[slot]), int64(m.slotB[slot]))
+}
+
+// EvalSlot recomputes the chain cost with the slot's swap applied
+// virtually — same loop and float operations as fullCost, so the frozen
+// delta is bit-identical to what ApplySlot returns on unchanged state.
+func (m *lineMover) EvalSlot(slot int) float64 {
+	posA, posB := m.slotA[slot], m.slotB[slot]
+	at := func(i int) float64 {
+		p := m.posOf[i]
+		if p == posA {
+			p = posB
+		} else if p == posB {
+			p = posA
+		}
+		return float64(p)
+	}
+	c := 0.0
+	for i := 0; i+1 < len(m.posOf); i++ {
+		c += math.Abs(at(i) - at(i+1))
+	}
+	return c - m.cost
+}
+
+func (m *lineMover) ApplySlot(slot int) float64 {
+	return m.apply(m.slotA[slot], m.slotB[slot])
+}
+
 // TestRunImprovesToyProblem anneals the line ordering and checks the
 // kernel actually optimises: final cost well below the random start.
 func TestRunImprovesToyProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	m := newLineMover(40, rng)
+	m := newLineMover(40, rng, false)
 	start := m.Cost()
 	Run(m, Config{Effort: 1, Span: 40, Cells: 40, Nets: 39}, rng)
 	if m.Cost() > 0.5*start {
@@ -147,19 +212,25 @@ func TestRunImprovesToyProblem(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic: same seed, same trajectory, same final state.
+// TestRunDeterministic: same seed, same trajectory — the same final state
+// and the same move/accept/requeue statistics.
 func TestRunDeterministic(t *testing.T) {
-	run := func() []int {
+	run := func() ([]int, RunStats) {
 		rng := rand.New(rand.NewSource(77))
-		m := newLineMover(30, rng)
-		Run(m, Config{Effort: 0.5, Span: 30, Cells: 30, Nets: 29}, rng)
-		return m.posOf
+		m := newLineMover(30, rng, false)
+		stats := Run(m, Config{Effort: 0.5, Span: 30, Cells: 30, Nets: 29}, rng)
+		return m.posOf, stats
 	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at cell %d", i)
-		}
+	a, sa := run()
+	b, sb := run()
+	if sa.Batches == 0 || sa.Moves == 0 {
+		t.Fatalf("batched loop not exercised: %+v", sa)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("same seed diverged")
+	}
+	if sa != sb {
+		t.Fatalf("same seed, different stats: %+v vs %+v", sa, sb)
 	}
 }
 
@@ -181,13 +252,99 @@ func TestRunRefineKeepsGoodSolution(t *testing.T) {
 // TestRunDisabled: zero cells or nets must leave the state untouched.
 func TestRunDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	m := newLineMover(10, rng)
+	m := newLineMover(10, rng, false)
 	before := append([]int(nil), m.posOf...)
 	Run(m, Config{Effort: 1, Span: 10, Cells: 0, Nets: 5}, rng)
 	Run(m, Config{Effort: 1, Span: 10, Cells: 10, Nets: 0}, rng)
 	for i := range before {
 		if m.posOf[i] != before[i] {
 			t.Fatal("disabled run mutated state")
+		}
+	}
+}
+
+// TestBatchedImprovesAndStaysExact: on a larger instance whose proposals
+// mostly commute, the run exercises both the frozen-delta commits and the
+// conflict requeues, still optimises, and ends with the maintained cost
+// equal to a from-scratch recompute.
+func TestBatchedImprovesAndStaysExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	m := newLineMover(60, rng, false)
+	start := m.Cost()
+	stats := Run(m, Config{Effort: 2, Span: 60, Cells: 60, Nets: 59}, rng)
+	if m.Cost() > 0.5*start {
+		t.Fatalf("batched annealing did not improve: %v -> %v", start, m.Cost())
+	}
+	if got := m.fullCost(); got != m.Cost() {
+		t.Fatalf("maintained cost %v != recomputed %v", m.Cost(), got)
+	}
+	if stats.Requeued == 0 || stats.Requeued >= stats.Moves {
+		t.Fatalf("requeued %d of %d moves: want some but not all", stats.Requeued, stats.Moves)
+	}
+}
+
+// TestAllConflictBatchProgress is the livelock regression: with an
+// adversarial mover whose every proposal claims the same footprint key,
+// all but the first accepted commit of each batch conflict. The kernel
+// must resolve them serially in-batch (requeue + live re-evaluation),
+// terminate and keep exact books.
+func TestAllConflictBatchProgress(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	m := newLineMover(40, rng, true)
+	stats := Run(m, Config{Effort: 1, Span: 40, Cells: 40, Nets: 39}, rng)
+	if stats.Requeued == 0 {
+		t.Fatal("adversarial claims produced no requeues")
+	}
+	if stats.Accepted == 0 {
+		t.Fatal("all-conflict batches made no progress")
+	}
+	if stats.Requeued >= stats.Moves {
+		t.Fatalf("every move requeued (%d of %d): first commit of a batch must be conflict-free",
+			stats.Requeued, stats.Moves)
+	}
+	if got := m.fullCost(); got != m.Cost() {
+		t.Fatalf("maintained cost %v != recomputed %v after requeues", m.Cost(), got)
+	}
+}
+
+// TestAfterBatchHook: the hook must run after every commit cycle with the
+// mover's books exact at each call.
+func TestAfterBatchHook(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m := newLineMover(30, rng, false)
+	calls := 0
+	stats := Run(m, Config{
+		Effort: 0.5, Span: 30, Cells: 30, Nets: 29,
+		AfterBatch: func() {
+			calls++
+			if got := m.fullCost(); got != m.Cost() {
+				t.Fatalf("batch %d: maintained cost %v != recomputed %v", calls, m.Cost(), got)
+			}
+		},
+	}, rng)
+	if calls != stats.Batches {
+		t.Fatalf("AfterBatch ran %d times for %d batches", calls, stats.Batches)
+	}
+}
+
+// TestBestStart: the multi-start pick depends only on the (cost, seed)
+// pairs, never on their order — shuffling the pairs must select the same
+// winning pair, with ties broken towards the lower seed.
+func TestBestStart(t *testing.T) {
+	costs := []float64{7, 3, 5, 3, 9}
+	seeds := []int64{50, 40, 30, 20, 10}
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 20; trial++ {
+		perm := rng.Perm(len(costs))
+		cs := make([]float64, len(costs))
+		ss := make([]int64, len(seeds))
+		for i, p := range perm {
+			cs[i], ss[i] = costs[p], seeds[p]
+		}
+		best := BestStart(cs, ss)
+		if cs[best] != 3 || ss[best] != 20 {
+			t.Fatalf("trial %d: picked (%v, %d), want lowest cost 3 at lowest seed 20",
+				trial, cs[best], ss[best])
 		}
 	}
 }

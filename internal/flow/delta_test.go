@@ -134,11 +134,10 @@ func TestDeltaEquivalence(t *testing.T) {
 			}
 
 			if i == 0 {
-				// Determinism: the same delta at -placej/-routej 4 is
+				// Determinism: the same delta with 4 router workers is
 				// byte-identical.
 				jcfg := dcfg
-				jcfg.PlaceWorkers = 4
-				jcfg.RouteWorkers = 4
+				jcfg.RouteOpts.Workers = 4
 				jcmp, err := RunComparison("delta", edited, jcfg)
 				if err != nil {
 					t.Fatal(err)

@@ -50,15 +50,10 @@ type Options struct {
 	Seed      int64
 	Effort    float64
 	Objective Objective
-	// Workers bounds the parallel evaluation of move batches. Results are
-	// byte-identical at any worker count (see internal/anneal), so
-	// Workers is a wall-clock knob only and stays out of artifact keys.
-	Workers int
 	// Starts anneals this many independently-seeded combined placements
-	// (Seed, Seed+StartSeedStride, ...) sharing one worker pool and keeps
-	// the best by the deterministic (cost, seed) tiebreak. 0 or 1 is a
-	// single start. Starts changes results, so it IS part of artifact
-	// keys.
+	// (Seed, Seed+StartSeedStride, ...) and keeps the best by the
+	// deterministic (cost, seed) tiebreak. 0 or 1 is a single start.
+	// Starts changes results, so it IS part of artifact keys.
 	Starts int
 	// Init seeds each mode's placement (Init[m][cell] in the per-mode
 	// cell encoding: blocks, then PIs, then POs) instead of the random
@@ -178,7 +173,8 @@ func buildModeInfo(c *lutnet.Circuit) *modeInfo {
 	return mi
 }
 
-// state is the combined-placement state; it implements anneal.Mover.
+// state is the combined-placement state; it implements
+// anneal.BatchMover.
 type state struct {
 	modes    []*modeInfo
 	clbSites []arch.Site
@@ -206,13 +202,13 @@ type state struct {
 	affSeen []bool
 	affBuf  []int32
 	oldCost []float64
-	// Pending move for anneal.Mover (set by TryMove, used by Undo).
+	// Pending move (set by TryMove and ApplySlot, used by Undo).
 	mvMode   int
 	mvA, mvB int32
 	// Batched-protocol state (parallel.go): recorded proposals and the
-	// per-worker frozen-evaluation scratch.
+	// frozen-evaluation scratch.
 	slots   []mergeSlot
-	scratch []mergeScratch
+	scratch mergeScratch
 }
 
 // newState builds the combined-placement state with a random legal
@@ -429,7 +425,7 @@ func (st *state) pickMove(rng *rand.Rand, rlim float64) (m int, posA, posB int32
 	return m, posA, posB, true
 }
 
-// TryMove implements anneal.Mover: pick a mode and one of its cells, swap
+// TryMove implements anneal.BatchMover: pick a mode and one of its cells, swap
 // it with a range-limited target position, and return the incremental
 // cost delta over the affected positions.
 func (st *state) TryMove(rng *rand.Rand, rlim float64) (float64, bool) {
@@ -475,7 +471,7 @@ func (st *state) applyMove(m int, posA, posB int32) float64 {
 	return delta
 }
 
-// Undo implements anneal.Mover: revert the last TryMove's swap and the
+// Undo implements anneal.BatchMover: revert the last TryMove's swap and the
 // posCost entries of its affected positions.
 func (st *state) Undo() {
 	st.doSwap(st.mvMode, st.mvA, st.mvB)
@@ -484,7 +480,7 @@ func (st *state) Undo() {
 	}
 }
 
-// Cost implements anneal.Mover.
+// Cost implements anneal.BatchMover.
 func (st *state) Cost() float64 { return st.totalCost() }
 
 // numNets counts the cost-bearing nets across all modes (drivers with at
@@ -514,11 +510,6 @@ func CombinedPlace(name string, modes []*lutnet.Circuit, a arch.Arch, opt Option
 	if starts < 1 {
 		starts = 1
 	}
-	var pool *anneal.Pool
-	if opt.Workers > 1 {
-		pool = anneal.NewPool(opt.Workers)
-		defer pool.Close()
-	}
 	states := make([]*state, starts)
 	costs := make([]float64, starts)
 	seeds := make([]int64, starts)
@@ -545,7 +536,6 @@ func CombinedPlace(name string, modes []*lutnet.Circuit, a arch.Arch, opt Option
 			Refine:                opt.Init != nil,
 			WarmStart:             opt.Init != nil && opt.WarmStart,
 			WarmStartTempFraction: opt.WarmStartTempFraction,
-			Pool:                  pool,
 			Obs:                   opt.Obs,
 		}, rng)
 		states[i], costs[i], seeds[i] = st, st.totalCost(), seed

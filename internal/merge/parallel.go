@@ -1,4 +1,4 @@
-// Batched parallel-move support: the combined-placement state implements
+// Batched-move support: the combined-placement state implements
 // anneal.BatchMover. As in package place, the load-bearing contract is
 // EvalSlot ≡ ApplySlot on unchanged state: the frozen evaluation replays
 // applyMove's exact affected-position order and per-position cost
@@ -19,9 +19,10 @@ type mergeSlot struct {
 	posA, posB int32
 }
 
-// mergeScratch is one worker's frozen-evaluation scratch, mirroring the
-// state's own costAt/move scratch (sink-position dedup, affected-position
-// dedup) so concurrent evaluations never share buffers.
+// mergeScratch is the frozen-evaluation scratch, mirroring the state's
+// own costAt/move scratch (sink-position dedup, affected-position dedup).
+// It is kept apart from those buffers so EvalSlot stays read-only against
+// everything ApplySlot and Undo use.
 type mergeScratch struct {
 	sinkSeen []bool
 	sinkBuf  []int32
@@ -30,14 +31,11 @@ type mergeScratch struct {
 }
 
 // SetupBatch implements anneal.BatchMover.
-func (st *state) SetupBatch(workers, slots int) {
+func (st *state) SetupBatch(slots int) {
 	st.slots = make([]mergeSlot, slots)
-	st.scratch = make([]mergeScratch, workers)
-	for w := range st.scratch {
-		st.scratch[w] = mergeScratch{
-			sinkSeen: make([]bool, st.nPos),
-			affSeen:  make([]bool, st.nPos),
-		}
+	st.scratch = mergeScratch{
+		sinkSeen: make([]bool, st.nPos),
+		affSeen:  make([]bool, st.nPos),
 	}
 }
 
@@ -70,13 +68,13 @@ func (st *state) ApplySlot(slot int) float64 {
 }
 
 // EvalSlot implements anneal.BatchMover: applyMove's delta computed
-// read-only against the frozen state using worker w's scratch. The
+// read-only against the frozen state. The
 // affected-position list is built pre-swap from the live arrays (exactly
 // as applyMove builds it), then each position is re-costed through a view
 // with the swap applied.
-func (st *state) EvalSlot(slot, w int) float64 {
+func (st *state) EvalSlot(slot int) float64 {
 	s := st.slots[slot]
-	sc := &st.scratch[w]
+	sc := &st.scratch
 	ca, cb := st.cellAt[s.m][s.posA], st.cellAt[s.m][s.posB]
 
 	affected := sc.affBuf[:0]

@@ -87,13 +87,18 @@ func writeCover(w io.Writer, fn logic.TT) {
 	}
 }
 
+// maxBLIFLine is the longest physical line ReadBLIF accepts.
+const maxBLIFLine = 1024 * 1024
+
 // ReadBLIF parses a single-model BLIF description. Supported constructs:
 // .model, .inputs, .outputs, .names (on-set and off-set covers), .latch,
 // .end, comments (#) and line continuations (\). Unsupported directives
 // return an error.
 func ReadBLIF(r io.Reader) (*Netlist, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// No initial buffer: the scanner starts small and grows only as far
+	// as the longest line needs, up to the 1 MiB line limit.
+	sc.Buffer(nil, maxBLIFLine)
 
 	var lines []string
 	var cont strings.Builder
@@ -188,9 +193,18 @@ func ReadBLIF(r io.Reader) (*Netlist, error) {
 		}
 	}
 
+	// Every signal has exactly one driver: a primary input, a gate or a
+	// latch. A second driver would be silently renamed by the netlist and
+	// the re-written BLIF would describe a different circuit.
+	multiDriven := func(sig string) error {
+		return fmt.Errorf("blif: signal %q driven more than once", sig)
+	}
 	n := New(modelName)
 	ids := map[string]int{}
 	for _, in := range inputs {
+		if _, dup := ids[in]; dup {
+			return nil, multiDriven(in)
+		}
 		ids[in] = n.AddInput(in)
 	}
 
@@ -200,12 +214,20 @@ func ReadBLIF(r io.Reader) (*Netlist, error) {
 	// iterative resolution.
 	producedBy := map[string]int{} // signal -> gate index
 	for i, g := range gates {
+		_, isInput := ids[g.out]
+		if _, dup := producedBy[g.out]; dup || isInput {
+			return nil, multiDriven(g.out)
+		}
 		producedBy[g.out] = i
 	}
 	// Placeholder latch nodes first (their fanin is patched later) so gates
 	// can reference latch Q signals.
 	latchIDs := make([]int, len(latches))
 	for i, l := range latches {
+		_, isGate := producedBy[l.out]
+		if _, dup := ids[l.out]; dup || isGate {
+			return nil, multiDriven(l.out)
+		}
 		// Temporary fanin: itself is not possible; use a dummy that we patch.
 		latchIDs[i] = n.addNode(&Node{Kind: KindLatch, Name: l.out, Fanins: []int{0}, Init: l.init})
 		ids[l.out] = latchIDs[i]

@@ -2,7 +2,9 @@ package netlist
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -188,5 +190,51 @@ func TestBLIFConstantGate(t *testing.T) {
 	sim := NewSimulator(n)
 	if out := sim.Step(nil); !out["y"] {
 		t.Fatal("constant-1 gate read as 0")
+	}
+}
+
+// TestReadBLIFAllocBound pins the parser's allocation to what the input
+// needs: a small mode must not pay for a buffer sized to the 1 MiB line
+// limit on every call.
+func TestReadBLIFAllocBound(t *testing.T) {
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ReadBLIF(strings.NewReader(sampleBLIF)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 64<<10 {
+		t.Fatalf("ReadBLIF of a %d-byte mode allocated %d bytes per call, want under 64 KiB",
+			len(sampleBLIF), per)
+	}
+}
+
+// TestBLIFLongLine: a physical line past bufio.Scanner's 64 KiB default
+// token size still parses (the limit is maxBLIFLine), and one past
+// maxBLIFLine is an error, not a truncation.
+func TestBLIFLongLine(t *testing.T) {
+	build := func(nIn int) string {
+		var sb strings.Builder
+		sb.WriteString(".model wide\n.inputs")
+		for i := 0; i < nIn; i++ {
+			fmt.Fprintf(&sb, " in%d", i)
+		}
+		sb.WriteString("\n.outputs y\n.names in0 y\n1 1\n.end\n")
+		return sb.String()
+	}
+	src := build(20000) // ~140 KiB .inputs line
+	n, err := ReadBLIF(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := n.CountKind(KindInput); got != 20000 {
+		t.Fatalf("inputs = %d, want 20000", got)
+	}
+	if _, err := ReadBLIF(strings.NewReader(build(200000))); err == nil {
+		t.Fatal("a line past the 1 MiB limit parsed")
 	}
 }

@@ -1,7 +1,7 @@
-// Batched parallel-move support: state implements anneal.BatchMover, so
-// the kernel proposes fixed-size batches of swaps, evaluates them
-// concurrently against the frozen placement, and commits serially in slot
-// order with position-footprint conflict detection.
+// Batched-move support: state implements anneal.BatchMover, so the
+// kernel proposes fixed-size batches of swaps, evaluates them against the
+// frozen placement, and commits serially in slot order with
+// position-footprint conflict detection.
 //
 // The load-bearing contract is EvalSlot ≡ ApplySlot on unchanged state:
 // the frozen evaluation must reproduce applySwap's delta BIT-identically
@@ -22,7 +22,7 @@ type slotMove struct {
 	posA, posB int
 }
 
-// evalScratch is one worker's frozen-evaluation scratch: flags dedups the
+// evalScratch is the frozen-evaluation scratch: flags dedups the
 // affected-net list while remembering HOW each net is touched (bit 1: via
 // posA's occupant, bit 2: via posB's occupant — the box simulation must
 // replay the same per-cell update sequence applySwap would), nets holds
@@ -33,12 +33,9 @@ type evalScratch struct {
 }
 
 // SetupBatch implements anneal.BatchMover.
-func (st *state) SetupBatch(workers, slots int) {
+func (st *state) SetupBatch(slots int) {
 	st.slots = make([]slotMove, slots)
-	st.scratch = make([]evalScratch, workers)
-	for w := range st.scratch {
-		st.scratch[w] = evalScratch{flags: make([]uint8, len(st.p.Nets))}
-	}
+	st.scratch = evalScratch{flags: make([]uint8, len(st.p.Nets))}
 }
 
 // Propose implements anneal.BatchMover: the same pick (and rng draw
@@ -58,7 +55,8 @@ func (st *state) Propose(rng *rand.Rand, rlim float64, slot int) bool {
 // requeued swap stays legal no matter what earlier commits did to its
 // occupants. (Net costs of untouched positions can still shift — the
 // frozen delta of a non-conflicting move may be stale — but staleness is
-// decided by batch composition alone, identically at every worker count.)
+// decided by batch composition alone, so it is part of the seeded
+// trajectory.)
 func (st *state) Claims(slot int, buf []int64) []int64 {
 	s := st.slots[slot]
 	return append(buf, int64(s.posA), int64(s.posB))
@@ -73,14 +71,14 @@ func (st *state) ApplySlot(slot int) float64 {
 }
 
 // EvalSlot implements anneal.BatchMover: applySwap's cost delta computed
-// read-only against the frozen placement, using worker w's scratch. It
+// read-only against the frozen placement. It
 // replays applySwap's exact sequence on a simulated view — occupant of
 // posA at posB's coordinates and vice versa, one cell "moved" at a time
 // for the box updates — so the result matches a real applySwap on this
 // state bit for bit.
-func (st *state) EvalSlot(slot, w int) float64 {
+func (st *state) EvalSlot(slot int) float64 {
 	s := st.slots[slot]
-	sc := &st.scratch[w]
+	sc := &st.scratch
 	ca, cb := st.cellAt[s.posA], st.cellAt[s.posB]
 	ax, ay := st.posX[s.posA], st.posY[s.posA]
 	bx, by := st.posX[s.posB], st.posY[s.posB]

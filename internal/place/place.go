@@ -115,14 +115,10 @@ type Options struct {
 	// WarmStartTempFraction scales the starting temperature when
 	// WarmStart is set (default 0.02).
 	WarmStartTempFraction float64
-	// Workers bounds the parallel evaluation of move batches. Results are
-	// byte-identical at any worker count (see internal/anneal), so
-	// Workers is a wall-clock knob only and stays out of artifact keys.
-	Workers int
 	// Starts anneals this many independently-seeded runs (Seed,
-	// Seed+StartSeedStride, ...) sharing one worker pool, and returns the
-	// best by the deterministic (cost, seed) tiebreak. 0 or 1 is a single
-	// start. Starts changes results, so it IS part of artifact keys.
+	// Seed+StartSeedStride, ...) and returns the best by the
+	// deterministic (cost, seed) tiebreak. 0 or 1 is a single start.
+	// Starts changes results, so it IS part of artifact keys.
 	Starts int
 	// Obs forwards to anneal.Config.Obs: per-run move/accept counts land
 	// as mm_anneal_* metrics. Wall-clock-only, never in artifact keys.
@@ -156,11 +152,6 @@ func Place(p *Problem, a arch.Arch, opt Options) (*Placement, error) {
 		return nil, fmt.Errorf("place: %d IO cells exceed %d pad sites", nIOCells, len(ioSites))
 	}
 
-	var pool *anneal.Pool
-	if opt.Workers > 1 {
-		pool = anneal.NewPool(opt.Workers)
-		defer pool.Close()
-	}
 	states := make([]*state, starts)
 	costs := make([]float64, starts)
 	seeds := make([]int64, starts)
@@ -180,7 +171,6 @@ func Place(p *Problem, a arch.Arch, opt Options) (*Placement, error) {
 			RefineTempFraction:    opt.RefineTempFraction,
 			WarmStart:             opt.Init != nil && opt.WarmStart,
 			WarmStartTempFraction: opt.WarmStartTempFraction,
-			Pool:                  pool,
 			Obs:                   opt.Obs,
 		}, rng)
 		states[i], costs[i], seeds[i] = st, st.totalCost(), seed
@@ -205,7 +195,7 @@ type netBox struct {
 }
 
 // state holds occupancy and incremental cost bookkeeping, and implements
-// anneal.Mover. Site positions are flattened: CLB sites first, then IO
+// anneal.BatchMover. Site positions are flattened: CLB sites first, then IO
 // sites.
 type state struct {
 	p        *Problem
@@ -237,12 +227,12 @@ type state struct {
 	oldCost   []float64
 	largeBuf  []int
 	oldBox    []netBox
-	// Pending move for anneal.Mover (set by TryMove, used by Undo).
+	// Pending move (set by TryMove and ApplySlot, used by Undo).
 	mvA, mvB int
 	// Batched-protocol state (parallel.go): recorded proposals and the
-	// per-worker frozen-evaluation scratch.
+	// frozen-evaluation scratch.
 	slots   []slotMove
-	scratch []evalScratch
+	scratch evalScratch
 }
 
 func newState(p *Problem, clbSites, ioSites []arch.Site, rng *rand.Rand, init []arch.Site) (*state, error) {
@@ -643,7 +633,7 @@ func (st *state) undoSwap(posA, posB int) {
 	}
 }
 
-// TryMove implements anneal.Mover: propose a range-limited swap and apply
+// TryMove implements anneal.BatchMover: propose a range-limited swap and apply
 // it, returning its incremental cost delta.
 func (st *state) TryMove(rng *rand.Rand, rlim float64) (float64, bool) {
 	posA, posB, ok := st.pickMove(rng, rlim)
@@ -654,10 +644,10 @@ func (st *state) TryMove(rng *rand.Rand, rlim float64) (float64, bool) {
 	return st.applySwap(posA, posB), true
 }
 
-// Undo implements anneal.Mover.
+// Undo implements anneal.BatchMover.
 func (st *state) Undo() { st.undoSwap(st.mvA, st.mvB) }
 
-// Cost implements anneal.Mover.
+// Cost implements anneal.BatchMover.
 func (st *state) Cost() float64 { return st.totalCost() }
 
 // pickMove selects a random occupied position and a partner position of the

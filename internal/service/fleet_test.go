@@ -176,8 +176,8 @@ func TestFleetRemoteDownMidRun(t *testing.T) {
 // TestFleetWorkerCountIndependence pins the determinism contract the
 // fleet relies on: worker-pool sizes are execution detail, not identity
 // — the same request compiled cold under different parallelism knobs
-// yields byte-identical results, which is why RouteWorkers/PlaceWorkers
-// are excluded from RequestKey and artifacts are shareable fleet-wide.
+// yields byte-identical results, which is why RouteWorkers is excluded
+// from RequestKey and artifacts are shareable fleet-wide.
 func TestFleetWorkerCountIndependence(t *testing.T) {
 	var results [][]byte
 	for _, workers := range []int{1, 4} {
@@ -189,7 +189,6 @@ func TestFleetWorkerCountIndependence(t *testing.T) {
 		ts := httptest.NewServer(srv.Handler())
 		req := testRequest(t)
 		req.RouteWorkers = workers
-		req.PlaceWorkers = workers
 		body, _ := json.Marshal(req)
 		status, out := postCompileRaw(t, ts.URL, body)
 		ts.Close()
@@ -202,10 +201,10 @@ func TestFleetWorkerCountIndependence(t *testing.T) {
 		t.Fatal("cold compiles at different worker counts diverged")
 	}
 
-	// The knobs that differ must not have changed the request identity —
+	// The knob that differs must not have changed the request identity —
 	// otherwise the fleet's cross-worker warm path could never hit.
 	req1, req4 := testRequest(t), testRequest(t)
-	req4.RouteWorkers, req4.PlaceWorkers = 4, 4
+	req4.RouteWorkers = 4
 	nls, err := ParseModes(req1)
 	if err != nil {
 		t.Fatal(err)

@@ -48,13 +48,9 @@ type CompileRequest struct {
 	// of RequestKey: requests differing only in worker count share one
 	// cached result.
 	RouteWorkers int `json:"route_workers,omitempty"`
-	// PlaceWorkers sets the annealers' worker count. Like RouteWorkers,
-	// placement is byte-identical at any value, so this knob is
-	// deliberately NOT part of RequestKey.
-	PlaceWorkers int `json:"place_workers,omitempty"`
 	// Starts is the multi-start count: run that many independently seeded
-	// anneals and keep the best. Unlike the worker knobs it changes
-	// results, so it IS part of RequestKey.
+	// anneals and keep the best. Unlike RouteWorkers it changes results,
+	// so it IS part of RequestKey. At most MaxStarts.
 	Starts int `json:"starts,omitempty"`
 	// BaselineKey, when set, is the baseline key a prior compile returned
 	// (Result.BaselineKey): the flow then recompiles as an ECO delta —
@@ -181,6 +177,20 @@ type Result struct {
 	Timings []obs.StageTiming `json:"timings,omitempty"`
 }
 
+// MaxStarts bounds CompileRequest.Starts. Every start is a full anneal
+// whose state is held until the best is picked, so an unbounded count
+// lets one request exhaust a worker's memory.
+const MaxStarts = 64
+
+// validate rejects out-of-range knobs and resolves the requested
+// combined-placement objective.
+func (req *CompileRequest) validate() (merge.Objective, error) {
+	if req.Starts > MaxStarts {
+		return merge.WireLength, fmt.Errorf("service: starts %d exceeds the limit of %d", req.Starts, MaxStarts)
+	}
+	return req.objective()
+}
+
 // objective resolves the requested combined-placement objective.
 func (req *CompileRequest) objective() (merge.Objective, error) {
 	switch strings.ToLower(req.Objective) {
@@ -200,8 +210,7 @@ func (req *CompileRequest) config(cache *flow.Cache) flow.Config {
 		PlaceEffort:        req.Effort,
 		RefineTempFraction: req.RefineFrac,
 		Seed:               req.Seed,
-		RouteWorkers:       req.RouteWorkers,
-		PlaceWorkers:       req.PlaceWorkers,
+		RouteOpts:          route.Options{Workers: req.RouteWorkers},
 		PlaceStarts:        req.Starts,
 		Baseline:           req.BaselineKey,
 		Cache:              cache,
@@ -336,7 +345,7 @@ func CompileNetlists(nls []*netlist.Netlist, req *CompileRequest, cache *flow.Ca
 // internal trace when nil), and the resulting per-stage breakdown is
 // returned in Result.Timings.
 func CompileNetlistsEnv(nls []*netlist.Netlist, req *CompileRequest, env Env) (*Result, *flow.Comparison, error) {
-	obj, err := req.objective()
+	obj, err := req.validate()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -275,6 +275,18 @@ func TestServerEndpointsAndErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("single mode: status %d, want 400", resp.StatusCode)
 	}
+	// A multi-start count past MaxStarts is refused before any anneal
+	// allocates per-start state, over HTTP and through CompileEnv alike.
+	huge := testRequest(t)
+	huge.Starts = 1_000_000_000
+	body, _ := json.Marshal(huge)
+	status, out := postCompileRaw(t, ts.URL, body)
+	if status != http.StatusBadRequest || !strings.Contains(string(out), "starts") {
+		t.Fatalf("starts %d: status %d (%s), want 400 naming starts", huge.Starts, status, out)
+	}
+	if _, _, err := CompileEnv(huge, Env{}); err == nil || !strings.Contains(err.Error(), "starts") {
+		t.Fatalf("CompileEnv accepted starts %d: %v", huge.Starts, err)
+	}
 	// GET on /compile.
 	resp, err = http.Get(ts.URL + "/compile")
 	if err != nil {
@@ -283,6 +295,42 @@ func TestServerEndpointsAndErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /compile: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestLegacyAnnealWorkerFieldIgnored: request bodies written for servers that
+// still had the annealer worker knob keep working. The retired
+// "place_workers" field is ignored — the request gets the same identity,
+// so it is served warm from the first request's stored result with
+// byte-identical content.
+func TestLegacyAnnealWorkerFieldIgnored(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(flow.NewCacheWithStore(st), 1)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	plain, err := json.Marshal(testRequest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append([]byte(`{"place_workers":4,`), plain[1:]...)
+	status, out := postCompileRaw(t, ts.URL, plain)
+	if status != http.StatusOK {
+		t.Fatalf("plain body: status %d: %s", status, out)
+	}
+	anneals := srv.Stats().Cache.PlaceAnneals
+	status, legacyOut := postCompileRaw(t, ts.URL, legacy)
+	if status != http.StatusOK {
+		t.Fatalf("body with place_workers: status %d: %s", status, legacyOut)
+	}
+	if got := srv.Stats().Cache.PlaceAnneals; got != anneals {
+		t.Fatalf("body with place_workers annealed %d placements: its key differs", got-anneals)
+	}
+	if !bytes.Equal(stripTimings(t, out), stripTimings(t, legacyOut)) {
+		t.Fatal("body with place_workers returned a different result")
 	}
 }
 
